@@ -23,13 +23,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use qkd_api::ApiConfig;
 use qkd_core::SessionSummary;
 use qkd_manager::LinkManager;
 
 use crate::output::Metric;
 use crate::replay::{Replay, STAGE_SPANS};
-use crate::stats::{median, percentile};
+use crate::stats::{median, percentile, slice_percentiles, slice_rates, sliced_percentile};
 use crate::system::{
     fleet_config, journal_config, Producer, ProducerLog, Sae, SaeLog, SLAVE, WARMUP, WARMUP_PICKUPS,
 };
@@ -45,6 +44,15 @@ const STAGE_SUM_TOLERANCE: f64 = 0.10;
 /// Self times plus unattributed time must add up to wall time within this
 /// share.
 const CLOSURE_TOLERANCE: f64 = 0.01;
+/// Equal slices the measured window is cut into: a rate or a key-latency
+/// percentile is the median of its slices' figures, so a few seconds of a
+/// busy host do not set it.
+const SLICES: usize = 5;
+/// Longest measured window of a traced invocation's two phases. Its
+/// per-layer metrics have no bound, and a traced phase replays every epoch
+/// twice (engine and stage by stage), so a full-length window would not
+/// fit the run's time limit.
+const TRACED_SECONDS: f64 = 10.0;
 /// Store calls timed per store on the traced run.
 const STORE_CALLS: usize = 100;
 /// The layers of the measured window's self-time table, with the metric
@@ -254,6 +262,11 @@ struct Phase {
 /// Starts the system, drives the workload, stops it and checks the result.
 fn run_phase(args: &Args, traced: bool) -> Result<Phase, String> {
     let w = args.workload;
+    let seconds = if args.trace {
+        args.seconds.min(TRACED_SECONDS)
+    } else {
+        args.seconds
+    };
     let origin = Instant::now();
     let dir = fresh_dir(args, if traced { "traced" } else { "plain" })?;
     let mut setup_rec = Recorder::new(traced, origin);
@@ -262,7 +275,7 @@ fn run_phase(args: &Args, traced: bool) -> Result<Phase, String> {
     let pickups = match w.load {
         Load::Pickup {
             pairs_per_second, ..
-        } => WARMUP_PICKUPS + (pairs_per_second as f64 * args.seconds).round() as usize,
+        } => WARMUP_PICKUPS + (pairs_per_second as f64 * seconds).round() as usize,
         _ => 0,
     };
 
@@ -291,7 +304,7 @@ fn run_phase(args: &Args, traced: bool) -> Result<Phase, String> {
             (begin, sae.rec.now())
         });
         if !matches!(w.load, Load::Pickup { .. }) {
-            let end = start + WARMUP + Duration::from_secs_f64(args.seconds);
+            let end = start + WARMUP + Duration::from_secs_f64(seconds);
             std::thread::sleep(end.saturating_duration_since(Instant::now()));
             stop.store(true, Ordering::SeqCst);
         }
@@ -311,7 +324,7 @@ fn run_phase(args: &Args, traced: bool) -> Result<Phase, String> {
         ),
         _ => (
             start + WARMUP,
-            start + WARMUP + Duration::from_secs_f64(args.seconds),
+            start + WARMUP + Duration::from_secs_f64(seconds),
         ),
     };
     let Producer {
@@ -461,7 +474,7 @@ fn store_calls(args: &Args, dir: &Path, rec: &mut Recorder) -> Result<(), String
             }
         }
     }
-    let ttl = ApiConfig::default().reservation_ttl;
+    let ttl = system::api_config().reservation_ttl;
     let claim = Some(SLAVE);
     for i in 0..STORE_CALLS as u64 {
         for (fleet, reserve, redeem) in [
@@ -502,10 +515,11 @@ impl Phase {
         &self.producer.epochs[self.prefill_epochs..]
     }
 
-    /// Latency in ms of every key both SAEs received in the window, from
-    /// when the epoch that produced its last bit was due. The pickup pool
-    /// is offered when the timed pickups start.
-    fn key_latencies_ms(&self) -> Vec<f64> {
+    /// `(offset into the window in s, latency in ms)` of every key both
+    /// SAEs received in the window, latency counted from when the epoch that
+    /// produced its last bit was due. The pickup pool is offered when the
+    /// timed pickups start.
+    fn key_latency_samples(&self) -> Vec<(f64, f64)> {
         let mut ends = Vec::new();
         let mut total = 0u64;
         for bits in &self.replay.epoch_bits {
@@ -529,10 +543,24 @@ impl Phase {
             .filter_map(|k| {
                 let last = (k.serial + 1) * KEY_BITS as u64;
                 let epoch = ends.partition_point(|&end| end < last);
-                dues.get(epoch)
-                    .map(|due| k.at.saturating_duration_since(*due).as_secs_f64() * 1e3)
+                dues.get(epoch).map(|due| {
+                    (
+                        (k.at - self.window.0).as_secs_f64(),
+                        k.at.saturating_duration_since(*due).as_secs_f64() * 1e3,
+                    )
+                })
             })
             .collect()
+    }
+
+    fn key_latencies_ms(&self) -> Vec<f64> {
+        self.key_latency_samples().iter().map(|s| s.1).collect()
+    }
+
+    /// The median over the window's slices of each slice's `q`-quantile of
+    /// key latency.
+    fn key_latency_ms(&self, q: f64) -> Result<f64, String> {
+        sliced_percentile(&self.key_latency_samples(), self.window_s(), SLICES, q)
     }
 
     fn pickup_latencies_ms(&self) -> Vec<f64> {
@@ -544,18 +572,30 @@ impl Phase {
             .collect()
     }
 
-    fn key_rate_bps(&self) -> f64 {
-        let keys = self
-            .sae
-            .keys
-            .iter()
-            .filter(|k| k.both && self.in_window(k.at))
-            .count();
-        (keys * KEY_BITS) as f64 / self.window_s()
+    /// Keys both SAEs received per second in each slice of the window.
+    fn key_slice_rates(&self) -> Vec<f64> {
+        self.slice_rates(self.sae.keys.iter().filter(|k| k.both).map(|k| k.at))
     }
 
-    fn pickups_per_s(&self) -> f64 {
-        self.pickup_latencies_ms().len() as f64 / self.window_s()
+    /// Events per second in each of the window's [`SLICES`] slices; events
+    /// outside the window are left out.
+    fn slice_rates(&self, times: impl Iterator<Item = Instant>) -> Vec<f64> {
+        let offsets: Vec<f64> = times
+            .filter(|t| self.in_window(*t))
+            .map(|t| (t - self.window.0).as_secs_f64())
+            .collect();
+        slice_rates(&offsets, self.window_s(), SLICES)
+    }
+
+    /// Median over the window's slices of the bits both SAEs received per
+    /// second.
+    fn key_rate_bps(&self) -> Result<f64, String> {
+        Ok(median(&self.key_slice_rates())? * KEY_BITS as f64)
+    }
+
+    /// Median over the window's slices of the pickups completed per second.
+    fn pickups_per_s(&self) -> Result<f64, String> {
+        median(&self.slice_rates(self.sae.pickups.iter().map(|(_, end)| *end)))
     }
 
     /// The self-time table of the measured window's two threads.
@@ -615,6 +655,24 @@ impl Phase {
                 q.join(" / ")
             ));
         }
+        let slices: Vec<String> = self
+            .key_slice_rates()
+            .iter()
+            .map(|r| format!("{:.0}", r * KEY_BITS as f64 / 1e3))
+            .collect();
+        let p99s: Vec<String> =
+            slice_percentiles(&self.key_latency_samples(), self.window_s(), SLICES, 0.99)
+                .iter()
+                .map(|v| v.map_or("-".into(), |v| format!("{v:.1}")))
+                .collect();
+        out.push_str(&format!(
+            "  key latency p99 by slice (ms): {}\n",
+            p99s.join(" ")
+        ));
+        out.push_str(&format!(
+            "  key rate by slice (kbit/s): {}\n",
+            slices.join(" ")
+        ));
         out.push_str(&format!(
             "  solo replay {:.2} ms/block\n",
             self.replay_s * 1e3 / self.replay.blocks.max(1) as f64
@@ -690,14 +748,13 @@ fn write_spans(args: &Args, phase: &Phase) -> Result<(), String> {
 }
 
 fn end_to_end(p: &Phase) -> Result<Vec<Metric>, String> {
-    let key_latency = p.key_latencies_ms();
     let pickup_latency = p.pickup_latencies_ms();
     let blocks = (p.summary.blocks_ok + p.summary.blocks_failed).max(1) as f64;
     Ok(vec![
-        Metric::new("key_rate_bps", "bit/s", p.key_rate_bps()),
-        Metric::new("key_latency_p50_ms", "ms", percentile(&key_latency, 0.5)?),
-        Metric::new("key_latency_p99_ms", "ms", percentile(&key_latency, 0.99)?),
-        Metric::new("pickup_pairs_per_s", "1/s", p.pickups_per_s()),
+        Metric::new("key_rate_bps", "bit/s", p.key_rate_bps()?),
+        Metric::new("key_latency_p50_ms", "ms", p.key_latency_ms(0.5)?),
+        Metric::new("key_latency_p99_ms", "ms", p.key_latency_ms(0.99)?),
+        Metric::new("pickup_pairs_per_s", "1/s", p.pickups_per_s()?),
         Metric::new(
             "pickup_latency_p50_ms",
             "ms",
@@ -733,9 +790,8 @@ fn end_to_end(p: &Phase) -> Result<Vec<Metric>, String> {
 /// The workload's headline metric, oriented so that larger is better.
 fn headline(w: &Workload, p: &Phase) -> Result<f64, String> {
     Ok(match w.load {
-        Load::Saturate => p.key_rate_bps(),
-        Load::Paced { .. } => 1.0 / percentile(&p.key_latencies_ms(), 0.5)?,
-        Load::Pickup { .. } => p.pickups_per_s(),
+        Load::Saturate => p.key_rate_bps()?,
+        Load::Pickup { .. } => p.pickups_per_s()?,
     })
 }
 

@@ -44,6 +44,62 @@ pub fn median(samples: &[f64]) -> Result<f64, String> {
     })
 }
 
+/// Which of `slices` equal slices of a window `window_s` seconds long holds
+/// an event `offset_s` seconds into it. An event at the window's very end
+/// falls in the last slice.
+fn slice_of(offset_s: f64, window_s: f64, slices: usize) -> usize {
+    ((offset_s / window_s * slices as f64) as usize).min(slices.saturating_sub(1))
+}
+
+/// Events per second in each of `slices` equal slices of a window
+/// `window_s` seconds long, from the events' offsets into the window.
+pub fn slice_rates(offsets_s: &[f64], window_s: f64, slices: usize) -> Vec<f64> {
+    let width = window_s / slices as f64;
+    let mut counts = vec![0usize; slices];
+    for &t in offsets_s {
+        counts[slice_of(t, window_s, slices)] += 1;
+    }
+    counts.iter().map(|&c| c as f64 / width).collect()
+}
+
+/// The `q`-quantile of each of `slices` equal slices of the window, from
+/// `(offset_s, value)` samples; `None` for a slice too thin for it (see
+/// [`percentile`]).
+pub fn slice_percentiles(
+    samples: &[(f64, f64)],
+    window_s: f64,
+    slices: usize,
+    q: f64,
+) -> Vec<Option<f64>> {
+    let mut by_slice = vec![Vec::new(); slices];
+    for &(t, v) in samples {
+        by_slice[slice_of(t, window_s, slices)].push(v);
+    }
+    by_slice.iter().map(|s| percentile(s, q).ok()).collect()
+}
+
+/// The median over the window's slices of each slice's `q`-quantile,
+/// leaving out slices too thin for it; refused when none has enough
+/// samples.
+pub fn sliced_percentile(
+    samples: &[(f64, f64)],
+    window_s: f64,
+    slices: usize,
+    q: f64,
+) -> Result<f64, String> {
+    let per_slice: Vec<f64> = slice_percentiles(samples, window_s, slices, q)
+        .into_iter()
+        .flatten()
+        .collect();
+    median(&per_slice).map_err(|_| {
+        format!(
+            "no slice of {slices} holds enough of {} samples for a p{}",
+            samples.len(),
+            q * 100.0
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,6 +128,40 @@ mod tests {
         assert!(percentile(&ramp(5000), 0.0).is_err());
         assert!(percentile(&ramp(5000), 1.0).is_err());
         assert!(percentile(&ramp(5000), f64::NAN).is_err());
+    }
+
+    #[test]
+    fn slice_rates_count_each_event_once() {
+        // 4 s window in 4 slices: 2, 0, 1 and 3 events (the one at 4.0 s,
+        // the window's end, counts in the last slice).
+        let rates = slice_rates(&[0.0, 0.5, 2.9, 3.1, 3.9, 4.0], 4.0, 4);
+        assert_eq!(rates, vec![2.0, 0.0, 1.0, 3.0]);
+        // Half-second slices double the rate per event.
+        assert_eq!(slice_rates(&[0.1, 0.6], 1.0, 2), vec![2.0, 2.0]);
+        assert_eq!(slice_rates(&[], 2.0, 2), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn sliced_percentile_is_the_median_of_the_slices() {
+        // Three 1 s slices of 20 samples each, valued 1–20 plus 0, 100 and
+        // 10: the slice medians are 10, 110 and 20.
+        let mut samples = Vec::new();
+        for (slice, base) in [(0.0, 0.0), (1.0, 100.0), (2.0, 10.0)] {
+            for i in 1..=20 {
+                samples.push((slice + i as f64 / 21.0, base + i as f64));
+            }
+        }
+        assert_eq!(
+            slice_percentiles(&samples, 3.0, 3, 0.5),
+            vec![Some(10.0), Some(110.0), Some(20.0)]
+        );
+        assert_eq!(sliced_percentile(&samples, 3.0, 3, 0.5), Ok(20.0));
+        // A thin slice is left out rather than refusing the whole figure.
+        samples.push((3.0, 1e9));
+        let thin = slice_percentiles(&samples, 4.0, 4, 0.5);
+        assert_eq!(thin[3], None);
+        assert_eq!(sliced_percentile(&samples, 4.0, 4, 0.5), Ok(20.0));
+        assert!(sliced_percentile(&samples[..5], 3.0, 3, 0.5).is_err());
     }
 
     #[test]

@@ -29,9 +29,11 @@ const SLAVE_TOKEN: &str = "tok-sae-slave";
 /// Fleet worker threads: one per vCPU of the 2-vCPU machine the benchmark
 /// was sized on.
 pub const WORKERS: usize = 2;
-/// Untimed lead-in of the saturated and paced workloads, so the measured
-/// window sees a full pipeline.
-pub const WARMUP: Duration = Duration::from_secs(1);
+/// Untimed lead-in of the saturated workload, so the measured window sees a
+/// full pipeline. The first second of `run` calls takes about twice as long
+/// as the rest, and with a 1 s lead-in the epochs queued behind them set
+/// the window's key-latency p99.
+pub const WARMUP: Duration = Duration::from_secs(3);
 /// Untimed pickups before the timed ones on the pickup workload.
 pub const WARMUP_PICKUPS: usize = 200;
 /// How long the SAE pair waits before asking `status` again when no key is
@@ -39,10 +41,11 @@ pub const WARMUP_PICKUPS: usize = 200;
 const POLL: Duration = Duration::from_millis(2);
 /// Longest pause the SAE pair takes before a pickup, in µs. The API server
 /// polls its connections with an adaptive sleep (0.2 ms doubling to 5 ms);
-/// pickups with no pause, or pauses of at most 0.5 ms, phase-lock with that
-/// sleep, and on a 2-vCPU VM whole runs settled at one of two levels (0.4 or
-/// 0.7 ms median, 3.3 or 6.3 ms p99). Pauses drawn from 0–2 ms spread the
-/// arrivals over the whole sleep cycle.
+/// with the server's default four shards, pickups with no pause, or pauses
+/// of at most 0.5 ms, phase-locked with that sleep, and on a 2-vCPU VM whole
+/// runs settled at one of two levels (0.4 or 0.7 ms median, 3.3 or 6.3 ms
+/// p99). Pauses drawn from 0–2 ms spread the arrivals over the whole sleep
+/// cycle.
 const THINK_MAX_US: u64 = 2000;
 /// Blocks per epoch while distilling the pickup workload's pool.
 const PREFILL_BLOCKS: usize = 16;
@@ -63,6 +66,18 @@ pub fn journal_config() -> JournalConfig {
     JournalConfig {
         fsync: FsyncPolicy::Batch { max_frames: 64 },
         ..JournalConfig::default()
+    }
+}
+
+/// The delivery server's settings: the defaults, with one shard thread for
+/// the SAE pair's two connections. With the default four, master and slave
+/// sat on different shards, so each pickup waited out two shards' poll
+/// sleeps, and three more polling threads competed with the fleet's two
+/// workers for the two vCPUs.
+pub fn api_config() -> ApiConfig {
+    ApiConfig {
+        shards: 1,
+        ..ApiConfig::default()
     }
 }
 
@@ -115,11 +130,7 @@ pub fn start(w: &Workload, seed: u64, dir: &Path, rec: &mut Recorder) -> Result<
     }
     let server = rec
         .time("api.start", 0, || {
-            ApiServer::start(
-                fleet.store_handle(),
-                Arc::clone(&registry),
-                ApiConfig::default(),
-            )
+            ApiServer::start(fleet.store_handle(), Arc::clone(&registry), api_config())
         })
         .map_err(fail("ApiServer::start"))?;
     Ok(System {
@@ -293,7 +304,7 @@ impl<'a> Producer<'a> {
                     }
                 }
             }
-            Load::Paced { period } | Load::Pickup { period, .. } => {
+            Load::Pickup { period, .. } => {
                 for k in 0u32.. {
                     let due = start + period * k;
                     if !self.wait_until(due, stop) {

@@ -14,12 +14,6 @@ use qkd_types::{BitVec, DetectionEvent};
 pub enum Load {
     /// Closed loop: keep the link's backlog at the fleet's admission cap.
     Saturate,
-    /// Open loop: one epoch due every `period`, whether or not the fleet
-    /// kept up.
-    Paced {
-        /// Time between epoch due times.
-        period: Duration,
-    },
     /// A pool distilled before timing starts, then a fixed number of
     /// closed-loop pickups while epochs keep arriving every `period`.
     Pickup {
@@ -58,7 +52,7 @@ pub const KEY_BITS: usize = 256;
 pub const AUTH_POOL_BITS: usize = 1 << 23;
 
 /// Every workload the benchmark knows.
-pub const WORKLOADS: [Workload; 3] = [
+pub const WORKLOADS: [Workload; 2] = [
     Workload {
         name: "bulk-metro-16k",
         preset: WorkloadPreset::Metro,
@@ -69,22 +63,6 @@ pub const WORKLOADS: [Workload; 3] = [
         load: Load::Saturate,
     },
     Workload {
-        name: "paced-backbone-16k",
-        preset: WorkloadPreset::Backbone,
-        block_bits: 16_384,
-        max_shards: 1,
-        blocks_per_epoch: 2,
-        // Up to four keys per pickup: one key per pickup kept the SAE pair
-        // ~75 % busy at this rate, so key latency measured its own queue
-        // rather than the engine.
-        keys_per_pickup: 4,
-        // 2 blocks per 200 ms = 10 blocks/s, about half of the ~19.5
-        // blocks/s one worker distils at 2.5 % QBER (51 ms per block).
-        load: Load::Paced {
-            period: Duration::from_millis(200),
-        },
-    },
-    Workload {
         name: "pickup-metro-4k",
         preset: WorkloadPreset::Metro,
         block_bits: 4096,
@@ -93,7 +71,7 @@ pub const WORKLOADS: [Workload; 3] = [
         keys_per_pickup: 1,
         load: Load::Pickup {
             period: Duration::from_millis(50),
-            pairs_per_second: 300,
+            pairs_per_second: 480,
         },
     },
 ];
